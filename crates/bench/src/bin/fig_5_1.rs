@@ -3,7 +3,7 @@
 //! Regenerates the paper's curves — overhead-reduction factor versus the
 //! storage/memory ratio `N/n`, one curve per grouping factor `c`, Z = 4.
 //! Both gain metrics are printed because the paper's Eq. 5-4 mixes units
-//! (see EXPERIMENTS.md): per-I/O-access (Table 5-1's unit) and per-request
+//! (see `oram_analysis::gain`): per-I/O-access (Table 5-1's unit) and per-request
 //! (commensurable with the baseline's per-request cost).
 //!
 //! ```sh

@@ -1,7 +1,7 @@
-//! I/O-pipeline ablation: per-block vs batched vs batched+zero-copy.
+//! I/O-pipeline ablation: per-block vs batched windows.
 //!
 //! Thin wrapper over [`bench::gates::io_pipeline_gate`]; see that module
-//! for the three configurations and the ≥ 1.5× regression threshold.
+//! for the two configurations and the ≥ 1.5× regression threshold.
 //! Writes the machine-readable report to `BENCH_io.json` (or
 //! `--out <path>`) and exits nonzero when the gate fails.
 //!

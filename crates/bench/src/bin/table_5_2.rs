@@ -1,8 +1,8 @@
 //! Table 5-2: experimental machine setup.
 //!
 //! Prints the simulated machine standing in for the paper's testbed, with
-//! the calibration constants the simulator adds (EXPERIMENTS.md records
-//! the fit).
+//! the calibration constants the simulator adds (`oram_storage::calibration`
+//! documents the fit).
 //!
 //! ```sh
 //! cargo run -p bench --bin table_5_2

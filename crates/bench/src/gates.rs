@@ -1,7 +1,7 @@
-//! The CI bench gates — serving, I/O pipeline, pipelined cycle
-//! scheduler, sharding, wall-clock parallel engine, durability/recovery,
-//! oblivious block cache, fault-injection chaos, recursive-posmap
-//! capacity — as library functions.
+//! The CI bench gates — serving, I/O pipeline, sharding, wall-clock
+//! parallel engine, durability/recovery, oblivious block cache,
+//! fault-injection chaos, recursive-posmap capacity, RPC serving — as
+//! library functions.
 //!
 //! Each gate runs a deterministic simulated experiment, prints the
 //! human-readable comparison table, and returns a [`GateOutcome`]: a
@@ -113,7 +113,6 @@ pub fn trend_metrics(suite_report: &Value) -> Vec<(String, f64)> {
         };
         let keys: &[&str] = match name {
             "serving" => &["vs_sequential", "vs_per_request"],
-            "pipeline" => &["io_speedup"],
             "sharding" => &["io_speedup", "wall_speedup"],
             "cache" => &["io_speedup"],
             "chaos" => &["throughput_ratio"],
@@ -484,14 +483,13 @@ mod io_pipeline {
     struct ModeRow {
         mode: &'static str,
         io_batch: u64,
-        zero_copy: bool,
         /// Simulated storage occupancy of the access periods' loads, µs.
         sim_io_us: f64,
         /// Mean simulated latency per I/O load, µs.
         mean_io_latency_us: f64,
         /// Simulated end-to-end wall time (access + shuffle), µs.
         sim_wall_us: f64,
-        /// Host-side wall clock of the run, ms (allocation/copy ablation).
+        /// Host-side wall clock of the run, ms.
         host_ms: f64,
     }
 
@@ -500,9 +498,9 @@ mod io_pipeline {
         workload: &'static str,
         requests: usize,
         modes: Vec<ModeRow>,
-        /// per-block simulated I/O time over batched+zero-copy.
+        /// per-block simulated I/O time over batched.
         io_speedup: f64,
-        /// per-block simulated wall time over batched+zero-copy.
+        /// per-block simulated wall time over batched.
         wall_speedup: f64,
         responses_match: bool,
     }
@@ -519,13 +517,11 @@ mod io_pipeline {
     fn run_mode(
         mode: &'static str,
         io_batch: u64,
-        zero_copy: bool,
         requests: &[Request],
     ) -> (ModeRow, Vec<Vec<u8>>) {
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
             .with_seed(SEED)
-            .with_io_batch(io_batch)
-            .with_zero_copy_io(zero_copy);
+            .with_io_batch(io_batch);
         let mut oram = HOram::new(
             config,
             MemoryHierarchy::dac2019(),
@@ -539,7 +535,6 @@ mod io_pipeline {
         let row = ModeRow {
             mode,
             io_batch,
-            zero_copy,
             sim_io_us: stats.io_time.as_micros_f64(),
             mean_io_latency_us: stats.mean_io_latency().as_micros_f64(),
             sim_wall_us: stats.total_wall_time().as_micros_f64(),
@@ -549,17 +544,15 @@ mod io_pipeline {
     }
 
     fn run_workload(workload: &'static str, requests: Vec<Request>) -> WorkloadReport {
-        let (per_block, base_responses) = run_mode("per-block", 1, false, &requests);
-        let (batched, batched_responses) = run_mode("batched", IO_BATCH, false, &requests);
-        let (zero_copy, zc_responses) = run_mode("batched+zero-copy", IO_BATCH, true, &requests);
-        let responses_match = base_responses == batched_responses && base_responses == zc_responses;
+        let (per_block, base_responses) = run_mode("per-block", 1, &requests);
+        let (batched, batched_responses) = run_mode("batched", IO_BATCH, &requests);
         WorkloadReport {
             workload,
             requests: requests.len(),
-            io_speedup: per_block.sim_io_us / zero_copy.sim_io_us.max(f64::MIN_POSITIVE),
-            wall_speedup: per_block.sim_wall_us / zero_copy.sim_wall_us.max(f64::MIN_POSITIVE),
-            modes: vec![per_block, batched, zero_copy],
-            responses_match,
+            io_speedup: per_block.sim_io_us / batched.sim_io_us.max(f64::MIN_POSITIVE),
+            wall_speedup: per_block.sim_wall_us / batched.sim_wall_us.max(f64::MIN_POSITIVE),
+            modes: vec![per_block, batched],
+            responses_match: base_responses == batched_responses,
         }
     }
 
@@ -606,7 +599,7 @@ mod io_pipeline {
             );
             println!("{table}");
             println!(
-                "  sim I/O speedup (per-block / batched+zero-copy): {:.2}x   wall: {:.2}x   \
+                "  sim I/O speedup (per-block / batched): {:.2}x   wall: {:.2}x   \
                  responses match: {}\n",
                 report.io_speedup, report.wall_speedup, report.responses_match
             );
@@ -616,7 +609,7 @@ mod io_pipeline {
         let pass = gate.io_speedup >= MIN_IO_SPEEDUP && reports.iter().all(|r| r.responses_match);
         if pass {
             println!(
-                "OK: batched+zero-copy >= {MIN_IO_SPEEDUP}x simulated I/O speedup on the \
+                "OK: batched >= {MIN_IO_SPEEDUP}x simulated I/O speedup on the \
                  hit-bound Zipf workload, responses identical across modes.\n"
             );
         } else {
@@ -637,237 +630,10 @@ mod io_pipeline {
     }
 }
 
-/// The I/O-pipeline gate: batched+zero-copy must keep ≥ 1.5× simulated
+/// The I/O-pipeline gate: batched windows must keep ≥ 1.5× simulated
 /// I/O speedup over the per-block path, with byte-identical responses.
 pub fn io_pipeline_gate(quick: bool) -> GateOutcome {
     io_pipeline::gate(quick)
-}
-
-// ------------------------------------------------------------ pipeline
-
-mod pipeline {
-    use super::*;
-    use horam::core::HOramStats;
-
-    const SEED: u64 = 0x991e;
-    const IO_BATCH: u64 = 16;
-    const DEPTHS: [u64; 3] = [1, 2, 4];
-    const GATE_DEPTH: u64 = 4;
-    const MIN_IO_SPEEDUP: f64 = 1.5;
-
-    /// The host wall-clock bar for the overlapped path, scaled to the
-    /// runner. The pipeline's host win comes from overlapping the
-    /// decrypt+verify of a committed window with planning the next ones,
-    /// which needs a second core; on a single core the gate degrades to
-    /// an overhead bound (lookahead bookkeeping may not be
-    /// pathologically slower), while the determinism half — byte-
-    /// identical responses, stats, and simulated clock at every depth —
-    /// is enforced everywhere, unconditionally.
-    fn min_wall_ratio(cores: usize) -> f64 {
-        if cores >= 2 {
-            0.9
-        } else {
-            0.5
-        }
-    }
-
-    #[derive(Debug, Clone, Serialize)]
-    struct DepthRow {
-        depth: u64,
-        io_batch: u64,
-        /// Simulated storage occupancy of the access periods' loads, µs.
-        sim_io_us: f64,
-        /// Simulated end-to-end wall time (access + shuffle), µs.
-        sim_wall_us: f64,
-        /// Host-side wall clock of the run, ms.
-        host_ms: f64,
-        /// Windows planned while an earlier window's commit was open.
-        planned_ahead_windows: u64,
-        /// Deterministic lookahead stalls at period boundaries.
-        period_stalls: u64,
-    }
-
-    #[derive(Debug, Serialize)]
-    struct Report {
-        bench: &'static str,
-        requests: usize,
-        io_batch: u64,
-        gate_depth: u64,
-        available_parallelism: usize,
-        min_io_speedup: f64,
-        /// Sequential (per-block, depth 1) sim I/O time over the
-        /// pipelined (windowed, depth 4) configuration.
-        io_speedup: f64,
-        min_wall_ratio: f64,
-        /// host_ms(depth 1) / host_ms(depth 4) at the windowed batch.
-        wall_ratio: f64,
-        responses_match: bool,
-        stats_match: bool,
-        clocks_match: bool,
-        lookahead_engaged: bool,
-        pass: bool,
-        rows: Vec<DepthRow>,
-    }
-
-    fn run_depth(
-        requests: &[Request],
-        io_batch: u64,
-        depth: u64,
-    ) -> (DepthRow, Vec<Vec<u8>>, HOramStats, u64) {
-        let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
-            .with_seed(SEED)
-            .with_io_batch(io_batch)
-            .with_pipeline_depth(depth);
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xD3; 32]),
-        )
-        .expect("builds");
-        let started = Instant::now();
-        let responses = oram.run_batch(requests).expect("runs");
-        let host_ms = started.elapsed().as_secs_f64() * 1e3;
-        let stats = oram.stats();
-        let pipeline = oram.pipeline_stats();
-        let row = DepthRow {
-            depth,
-            io_batch,
-            sim_io_us: stats.io_time.as_micros_f64(),
-            sim_wall_us: stats.total_wall_time().as_micros_f64(),
-            host_ms,
-            planned_ahead_windows: pipeline.planned_ahead_windows,
-            period_stalls: pipeline.period_stalls,
-        };
-        let clock = oram.clock().now().as_nanos();
-        (row, responses, stats, clock)
-    }
-
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 4;
-            println!("(--quick: scaled to 1/4)\n");
-        }
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let wall_threshold = min_wall_ratio(cores);
-        println!(
-            "Pipelined cycle scheduler — {CAPACITY} blocks, {MEMORY_SLOTS} memory slots, \
-             window {IO_BATCH}, depths 1/2/4, {requests} requests, {cores} host core(s)\n"
-        );
-
-        let trace = ZipfWorkload::new(CAPACITY, ZIPF_EXPONENT, WRITE_RATIO, SEED)
-            .with_payload_len(PAYLOAD_LEN)
-            .generate(requests);
-
-        // The sequential baseline the paper-era scheduler ran: one load
-        // per window, no lookahead.
-        let (sequential, _, _, _) = run_depth(&trace, 1, 1);
-
-        // The pipelined stack at the windowed batch, swept over depth.
-        let mut rows = vec![sequential];
-        let mut responses: Vec<Vec<Vec<u8>>> = Vec::new();
-        let mut stats: Vec<HOramStats> = Vec::new();
-        let mut clocks: Vec<u64> = Vec::new();
-        for depth in DEPTHS {
-            let (row, response, stat, clock) = run_depth(&trace, IO_BATCH, depth);
-            rows.push(row);
-            responses.push(response);
-            stats.push(stat);
-            clocks.push(clock);
-        }
-
-        let responses_match = responses.iter().all(|r| r == &responses[0]);
-        let stats_match = stats.iter().all(|s| s == &stats[0]);
-        let clocks_match = clocks.iter().all(|c| c == &clocks[0]);
-        let gate_row = rows
-            .iter()
-            .find(|r| r.depth == GATE_DEPTH && r.io_batch == IO_BATCH)
-            .expect("gate depth measured");
-        let depth_one = rows
-            .iter()
-            .find(|r| r.depth == 1 && r.io_batch == IO_BATCH)
-            .expect("windowed depth-1 row measured");
-        let io_speedup = rows[0].sim_io_us / gate_row.sim_io_us.max(f64::MIN_POSITIVE);
-        let wall_ratio = depth_one.host_ms / gate_row.host_ms.max(f64::MIN_POSITIVE);
-        let lookahead_engaged = gate_row.planned_ahead_windows > 0;
-
-        let mut table = Table::new(vec![
-            "depth",
-            "window",
-            "sim I/O time",
-            "sim wall",
-            "host time",
-            "planned ahead",
-            "period stalls",
-        ]);
-        for row in &rows {
-            table.row(vec![
-                row.depth.to_string(),
-                row.io_batch.to_string(),
-                format!("{:.1} ms", row.sim_io_us / 1e3),
-                format!("{:.1} ms", row.sim_wall_us / 1e3),
-                format!("{:.1} ms", row.host_ms),
-                row.planned_ahead_windows.to_string(),
-                row.period_stalls.to_string(),
-            ]);
-        }
-        println!("{table}");
-        println!(
-            "depth {GATE_DEPTH} vs sequential: sim I/O speedup {io_speedup:.2}x \
-             (required ≥ {MIN_IO_SPEEDUP}x); host wall vs windowed depth 1: \
-             {wall_ratio:.2}x (required ≥ {wall_threshold:.2}x on {cores} core(s))\n\
-             responses match: {responses_match}, stats match: {stats_match}, \
-             clocks match: {clocks_match}, lookahead engaged: {lookahead_engaged}"
-        );
-
-        let pass = io_speedup >= MIN_IO_SPEEDUP
-            && wall_ratio >= wall_threshold
-            && responses_match
-            && stats_match
-            && clocks_match
-            && lookahead_engaged;
-        if pass {
-            println!(
-                "OK: pipelined scheduler holds ≥ {MIN_IO_SPEEDUP}x simulated I/O reduction \
-                 over the sequential baseline and is byte-identical at every depth.\n"
-            );
-        } else {
-            println!("REGRESSION: pipeline gate failed.\n");
-        }
-        let report = Report {
-            bench: "pipeline",
-            requests,
-            io_batch: IO_BATCH,
-            gate_depth: GATE_DEPTH,
-            available_parallelism: cores,
-            min_io_speedup: MIN_IO_SPEEDUP,
-            io_speedup,
-            min_wall_ratio: wall_threshold,
-            wall_ratio,
-            responses_match,
-            stats_match,
-            clocks_match,
-            lookahead_engaged,
-            pass,
-            rows,
-        };
-        GateOutcome {
-            name: "pipeline",
-            pass,
-            report: report.to_value(),
-        }
-    }
-}
-
-/// The pipeline gate: the depth-4 windowed scheduler must hold ≥ 1.5×
-/// simulated I/O reduction over the sequential (per-block, depth-1)
-/// baseline, with responses, statistics, and the simulated clock
-/// byte-identical at depths 1, 2, and 4, lookahead provably engaged, and
-/// a host-scaled wall-clock bound on the overlapped path.
-pub fn pipeline_gate(quick: bool) -> GateOutcome {
-    pipeline::gate(quick)
 }
 
 // ------------------------------------------------------------ sharding

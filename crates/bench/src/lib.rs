@@ -17,7 +17,7 @@
 //! unavoidable cold-miss floor (20 % uniform traffic) leaves room for a
 //! hot region of ≈`n/8` blocks warmed once per period — that sizing
 //! reproduces both tables' I/O counts within ~15 %, so the harness uses
-//! it; EXPERIMENTS.md records the sensitivity.
+//! it.
 
 use horam::prelude::*;
 use horam::protocols::{build_tree_top_cache, Oram, PathOramConfig, TreeBackend};

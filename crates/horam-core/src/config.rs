@@ -7,7 +7,6 @@
 //! oblivious shuffle used by the tree evict, and the partial-shuffle ratio
 //! of §5.3.1.
 
-use crate::pipeline::PipelineConfig;
 use oram_shuffle::ShuffleAlgorithm;
 
 /// One stage of the scheduler's `c` schedule (§4.2): during the given
@@ -67,10 +66,6 @@ pub struct HOramConfig {
     ///
     /// [`StorageLayer::load_batch`]: crate::storage_layer::StorageLayer::load_batch
     pub io_batch: u64,
-    /// Route block crypto through the zero-copy path (in-place open/seal,
-    /// pooled buffers). Simulated timing is identical either way; `false`
-    /// restores the allocating legacy path for host-cost ablations.
-    pub zero_copy_io: bool,
     /// Wall-clock worker threads for the parallel execution engine:
     /// per-shard cycle windows (`ShardedOram`) and the shuffle's
     /// data-parallel seal/open stream (`StorageLayer::rebuild_window`)
@@ -101,13 +96,6 @@ pub struct HOramConfig {
     /// shape are byte-identical cache-on vs. cache-off (see
     /// `oram_storage::cache` and `docs/ARCHITECTURE.md` §10).
     pub cache: Option<oram_storage::cache::CacheConfig>,
-    /// Pipelined cycle scheduling: how many scheduling windows may be in
-    /// flight at once (see [`crate::pipeline`]). `depth: None` (the
-    /// default) adopts the machine's hint, falling back to 1 — the
-    /// strictly sequential scheduler. Responses, traces, stats, and the
-    /// simulated clock are byte-identical at every depth
-    /// (`tests/pipeline.rs`); the knob changes wall-clock time only.
-    pub pipeline: PipelineConfig,
     /// Position-map implementation: flat in-RAM tables (the default) or
     /// the recursive O(log N)-trusted-memory variant (see
     /// [`crate::posmap`] and `docs/ARCHITECTURE.md` §12). The choice is
@@ -243,11 +231,9 @@ impl HOramConfig {
             partition_shuffle: ShuffleAlgorithm::Cache,
             partial_shuffle_ratio: None,
             io_batch: 1,
-            zero_copy_io: true,
             worker_threads: default_worker_threads(),
             partition_headroom: 1.10,
             cache: None,
-            pipeline: PipelineConfig::default(),
             posmap: PosmapMode::Flat,
             seed: DEFAULT_SEED,
         }
@@ -337,13 +323,6 @@ impl HOramConfig {
         self
     }
 
-    /// Toggles the zero-copy crypto path (see
-    /// [`zero_copy_io`](Self::zero_copy_io)).
-    pub fn with_zero_copy_io(mut self, zero_copy: bool) -> Self {
-        self.zero_copy_io = zero_copy;
-        self
-    }
-
     /// Sets the wall-clock worker-thread count (see
     /// [`worker_threads`](Self::worker_threads); `1` = serial).
     ///
@@ -360,24 +339,6 @@ impl HOramConfig {
     /// [`cache`](Self::cache)).
     pub fn with_cache(mut self, cache: oram_storage::cache::CacheConfig) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Pins the pipeline depth (see [`pipeline`](Self::pipeline); `1` =
-    /// the sequential scheduler, ignoring any machine hint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_pipeline_depth(self, depth: u64) -> Self {
-        self.with_pipeline(PipelineConfig::with_depth(depth))
-    }
-
-    /// Replaces the pipeline configuration wholesale (see
-    /// [`pipeline`](Self::pipeline)).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        pipeline.validate();
-        self.pipeline = pipeline;
         self
     }
 
@@ -439,7 +400,6 @@ impl HOramConfig {
         if let PosmapMode::Recursive(rcfg) = &self.posmap {
             rcfg.validate();
         }
-        self.pipeline.validate();
         assert!(
             self.partition_headroom >= 1.0,
             "headroom factor must be ≥ 1.0"
@@ -557,44 +517,20 @@ mod tests {
 
     #[test]
     fn io_pipeline_knobs() {
-        let config = HOramConfig::new(1024, 64, 256)
-            .with_io_batch(32)
-            .with_zero_copy_io(false);
+        let config = HOramConfig::new(1024, 64, 256).with_io_batch(32);
         config.validate();
         assert_eq!(config.io_batch, 32);
-        assert!(!config.zero_copy_io);
         let defaults = HOramConfig::new(1024, 64, 256);
         assert_eq!(
             defaults.io_batch, 1,
             "default must reproduce the sequential path"
         );
-        assert!(defaults.zero_copy_io);
     }
 
     #[test]
     #[should_panic(expected = "io_batch must be at least 1")]
     fn zero_io_batch_rejected() {
         let _ = HOramConfig::new(1024, 64, 256).with_io_batch(0);
-    }
-
-    #[test]
-    fn pipeline_knob() {
-        let defaults = HOramConfig::new(1024, 64, 256);
-        assert_eq!(
-            defaults.pipeline.depth, None,
-            "default adopts the machine hint (or sequential)"
-        );
-        assert_eq!(defaults.pipeline.effective_depth(None), 1);
-        let deep = HOramConfig::new(1024, 64, 256).with_pipeline_depth(4);
-        deep.validate();
-        assert_eq!(deep.pipeline.depth, Some(4));
-        assert_eq!(deep.pipeline.effective_depth(Some(2)), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline depth must be at least 1")]
-    fn zero_pipeline_depth_rejected() {
-        let _ = HOramConfig::new(1024, 64, 256).with_pipeline_depth(0);
     }
 
     #[test]

@@ -92,16 +92,10 @@ pub trait OramEngine {
     fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError>;
 
     /// Runs up to `max_windows` consecutive I/O windows of up to
-    /// `max_cycles` cycles each, letting pipelined engines keep several
-    /// windows in flight (see [`PipelineConfig`](crate::PipelineConfig));
-    /// returns the total cycles executed. The determinism contract of
-    /// [`run_cycle_window`](Self::run_cycle_window) extends across depths:
+    /// `max_cycles` cycles each; returns the total cycles executed.
     /// `run_cycle_burst(c, n)` leaves the engine in exactly the state `n`
-    /// sequential `run_cycle_window(c)` calls would.
-    ///
-    /// The default implementation is that sequential loop (stopping early
-    /// once the engine runs out of work), so non-pipelined engines get the
-    /// burst API for free.
+    /// sequential `run_cycle_window(c)` calls would: it is that loop,
+    /// stopping early once the engine runs out of work.
     ///
     /// # Errors
     ///
@@ -174,11 +168,6 @@ impl OramEngine for crate::horam::HOram {
 
     fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
         self.run_cycle_window(max_cycles).map_err(HOramError::from)
-    }
-
-    fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, HOramError> {
-        self.run_cycle_burst(max_cycles, max_windows)
-            .map_err(HOramError::from)
     }
 
     fn pending_requests(&self) -> usize {

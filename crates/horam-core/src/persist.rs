@@ -29,7 +29,6 @@
 //! its configuration so restore can validate geometry).
 
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
-use crate::pipeline::PipelineConfig;
 use oram_crypto::persist::{PersistError, StateReader, StateWriter};
 use oram_shuffle::ShuffleAlgorithm;
 use oram_storage::cache::{CacheConfig, CachePolicy, MidTierConfig};
@@ -109,10 +108,8 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         }
     }
     w.put_u64(config.io_batch);
-    w.put_bool(config.zero_copy_io);
     w.put_usize(config.worker_threads);
     w.put_f64(config.partition_headroom);
-    w.put_opt_u64(config.pipeline.depth);
     save_cache_config(config.cache.as_ref(), w);
     save_posmap_mode(&config.posmap, w);
     w.put_u64(config.seed);
@@ -273,12 +270,8 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         None
     };
     let io_batch = r.get_u64()?;
-    let zero_copy_io = r.get_bool()?;
     let worker_threads = r.get_usize()?;
     let partition_headroom = r.get_f64()?;
-    let pipeline = PipelineConfig {
-        depth: r.get_opt_u64()?,
-    };
     let cache = load_cache_config(r)?;
     let posmap = load_posmap_mode(r)?;
     let seed = r.get_u64()?;
@@ -293,11 +286,9 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         partition_shuffle,
         partial_shuffle_ratio,
         io_batch,
-        zero_copy_io,
         worker_threads,
         partition_headroom,
         cache,
-        pipeline,
         posmap,
         seed,
     })
@@ -313,9 +304,7 @@ mod tests {
             .with_seed(99)
             .with_io_batch(8)
             .with_partial_shuffle(0.25)
-            .with_worker_threads(3)
-            .with_zero_copy_io(false)
-            .with_pipeline_depth(4);
+            .with_worker_threads(3);
         let mut w = StateWriter::new();
         save_config(&config, &mut w);
         let bytes = w.into_bytes();

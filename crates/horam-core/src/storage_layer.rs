@@ -61,10 +61,6 @@ use oram_storage::stats::DeviceStats;
 use oram_storage::StorageError;
 use std::sync::Arc;
 
-/// A full slot→owner image of the storage grid (`None` = dummy slot),
-/// as produced by a deferred rebuild for the bulk position-map install.
-type SlotImage = Vec<Option<BlockId>>;
-
 /// Result of one I/O load (real miss or dummy/prefetch load).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoLoad {
@@ -85,19 +81,6 @@ pub enum LoadPlan {
     Dummy,
 }
 
-/// A load staged by [`StorageLayer::plan_io`], waiting for the batch
-/// commit. All control-layer effects have already been applied.
-#[derive(Debug, Clone, Copy)]
-struct PlannedLoad {
-    /// Slot to read; `None` when every slot is already touched (the
-    /// over-long-period degenerate case, a zero-cost no-op like the
-    /// sequential path's).
-    slot: Option<u64>,
-    /// The block whose current copy the slot held at plan time (miss
-    /// target, or opportunistic prefetch for a dummy hitting a live slot).
-    expect: Option<BlockId>,
-}
-
 /// Result of committing one planned batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchLoad {
@@ -108,10 +91,11 @@ pub struct BatchLoad {
     pub io_time: SimDuration,
 }
 
-/// The observable identity of one load staged by
-/// [`StorageLayer::plan_io`]: which physical slot the commit will read and
-/// which live block (if any) it is expected to produce. The pipelined
-/// driver feeds these into its hazard tracker and stash reservations.
+/// A load staged by [`StorageLayer::plan_io`], waiting for the batch
+/// commit (all its control-layer effects are already applied): which
+/// physical slot the commit will read and which live block (if any) it is
+/// expected to produce. The cycle driver pre-draws a tree position for
+/// every expected arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedIo {
     /// Slot the commit will read; `None` when the period's dummy order is
@@ -121,112 +105,6 @@ pub struct PlannedIo {
     /// The block whose current copy the slot held at plan time (miss
     /// target, or opportunistic prefetch for a dummy on a live slot).
     pub expect: Option<BlockId>,
-}
-
-/// One committed-but-unopened load: the ciphertext is off the device (the
-/// read is charged and traced), verification and decryption are still
-/// pending.
-#[derive(Debug)]
-struct RawLoad {
-    slot: Option<u64>,
-    expect: Option<BlockId>,
-    sealed: Option<SealedBlock>,
-    cost: SimDuration,
-}
-
-/// A committed scatter batch awaiting its crypto phase: every device
-/// access already happened (in planning order, charged and traced), so
-/// opening the batch is pure computation — [`BatchOpener::open`] may run
-/// on a worker thread while the scheduling thread plans ahead, without
-/// touching any observable state.
-#[derive(Debug)]
-pub struct RawBatch {
-    loads: Vec<RawLoad>,
-    io_time: SimDuration,
-}
-
-impl RawBatch {
-    /// Number of loads in the batch.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
-}
-
-/// The detached crypto phase of a batch commit: verify, decrypt, decode,
-/// and identity-check every load of a [`RawBatch`].
-///
-/// Owns a clone of the current epoch's sealer, so it stays valid while
-/// the storage layer keeps planning (epochs only rotate at shuffles,
-/// which require every batch to be retired first). Pure over its inputs
-/// and `Send`: the pipelined driver runs [`open`](Self::open) on the
-/// worker pool while the scheduling thread's control sweep continues.
-#[derive(Debug, Clone)]
-pub struct BatchOpener {
-    sealer: BlockSealer,
-    zero_copy: bool,
-    device: String,
-}
-
-impl BatchOpener {
-    /// Opens every load: blocks expected live are verified and decrypted
-    /// (in place on the zero-copy path); stale/dummy reads discard their
-    /// bytes unopened, exactly like the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::MalformedBlock`] if a slot does not hold the expected
-    /// block; [`StorageError::MissingBlock`] if a slot the metadata calls
-    /// live came back empty; crypto errors propagate. Every error is
-    /// **fail-stop** (see [`StorageLayer::commit_io`]).
-    pub fn open(&self, raw: RawBatch) -> Result<BatchLoad, OramError> {
-        let mut loads = Vec::with_capacity(raw.loads.len());
-        for load in raw.loads {
-            let Some(slot) = load.slot else {
-                loads.push(IoLoad {
-                    block: None,
-                    duration: SimDuration::ZERO,
-                });
-                continue;
-            };
-            let block = match load.expect {
-                None => None,
-                Some(id) => {
-                    let Some(sealed) = load.sealed else {
-                        return Err(OramError::Storage(StorageError::MissingBlock {
-                            device: self.device.clone(),
-                            addr: slot,
-                        }));
-                    };
-                    let body = if self.zero_copy {
-                        self.sealer.open_in_place(sealed)
-                    } else {
-                        self.sealer.open(&sealed)
-                    }?;
-                    match BlockContent::decode_owned(body, slot)? {
-                        BlockContent::Real {
-                            id: stored,
-                            payload,
-                            ..
-                        } if stored == id => Some((id, payload)),
-                        _ => return Err(OramError::MalformedBlock { slot }),
-                    }
-                }
-            };
-            loads.push(IoLoad {
-                block,
-                duration: load.cost,
-            });
-        }
-        Ok(BatchLoad {
-            loads,
-            io_time: raw.io_time,
-        })
-    }
 }
 
 /// Timing breakdown of one shuffle pass.
@@ -276,27 +154,17 @@ struct PassCrypto<'a> {
     read_sealer: &'a BlockSealer,
     /// Sealer for the fresh epoch (the pass writes under it).
     write_sealer: &'a BlockSealer,
-    zero_copy: bool,
     payload_len: usize,
     wire_len: usize,
     /// Device name for fail-stop error reports.
     device: &'a str,
 }
 
-/// Pops a wire-sized buffer (pooled in zero-copy mode, fresh otherwise).
-fn take_wire_buffer(ctx: &PassCrypto<'_>, pool: &mut BufferPool) -> Vec<u8> {
-    if ctx.zero_copy {
-        pool.take(ctx.wire_len)
-    } else {
-        vec![0u8; ctx.wire_len]
-    }
-}
-
-/// Returns a spent buffer to `pool` (dropped in legacy mode). Undersized
-/// buffers (e.g. bare payloads) are dropped rather than recycled —
-/// pooling them would just turn the next take into a reallocation.
+/// Returns a spent buffer to `pool`. Undersized buffers (e.g. bare
+/// payloads) are dropped rather than recycled — pooling them would just
+/// turn the next take into a reallocation.
 fn recycle_wire_buffer(ctx: &PassCrypto<'_>, pool: &mut BufferPool, buffer: Vec<u8>) {
-    if ctx.zero_copy && buffer.capacity() >= ctx.wire_len {
+    if buffer.capacity() >= ctx.wire_len {
         pool.recycle(buffer);
     }
 }
@@ -330,11 +198,7 @@ fn open_pass_slot(
             Ok(None)
         }
         Some(owner) => {
-            let body = if ctx.zero_copy {
-                ctx.read_sealer.open_in_place(sealed)
-            } else {
-                ctx.read_sealer.open(&sealed)
-            }?;
+            let body = ctx.read_sealer.open_in_place(sealed)?;
             match BlockContent::decode_ref(&body, addr)? {
                 BlockContentRef::Real { id, .. } if id == owner => Ok(Some((id, body))),
                 _ => Err(OramError::MalformedBlock { slot: addr }),
@@ -360,7 +224,7 @@ fn seal_pass_slot(
             body
         }
         Some(PassEntry::Hot(id, payload)) => {
-            let mut body = take_wire_buffer(ctx, pool);
+            let mut body = pool.take(ctx.wire_len);
             let content = BlockContent::Real {
                 id,
                 leaf: 0,
@@ -373,16 +237,12 @@ fn seal_pass_slot(
             body
         }
         None => {
-            let mut body = take_wire_buffer(ctx, pool);
+            let mut body = pool.take(ctx.wire_len);
             BlockContent::Dummy.encode_into(ctx.payload_len, &mut body);
             body
         }
     };
-    if ctx.zero_copy {
-        ctx.write_sealer.seal_into(addr, seq, body)
-    } else {
-        ctx.write_sealer.seal(addr, seq, &body)
-    }
+    ctx.write_sealer.seal_into(addr, seq, body)
 }
 
 /// Chunk length for splitting one pass's slots across `threads` workers.
@@ -462,7 +322,7 @@ pub struct StorageLayer {
     /// the period that installed it, which is not otherwise recoverable).
     dummy_key: [u8; 16],
     /// Loads staged by [`plan_io`](Self::plan_io) awaiting commit.
-    pending: Vec<PlannedLoad>,
+    pending: Vec<PlannedIo>,
     /// Recycled wire-body buffers for the zero-copy seal/open stream.
     pool: BufferPool,
     /// Wall-clock worker pool for the rebuild stream's data-parallel
@@ -473,10 +333,6 @@ pub struct StorageLayer {
     /// chunk `i`'s pool with exactly the buffers its slots will take, so
     /// chunked execution allocates no more than the serial path.
     worker_pools: Vec<BufferPool>,
-    /// Zero-copy crypto path toggle (see [`HOramConfig::zero_copy_io`]);
-    /// simulated timing is identical either way — this ablates host-side
-    /// allocation and copying only.
-    zero_copy: bool,
     partition_count: u64,
     partition_slots: u64,
     capacity: u64,
@@ -537,7 +393,6 @@ impl StorageLayer {
             worker_pools: (0..config.worker_threads)
                 .map(|_| BufferPool::new())
                 .collect(),
-            zero_copy: config.zero_copy_io,
             partition_count,
             partition_slots,
             capacity: config.capacity,
@@ -798,7 +653,6 @@ impl StorageLayer {
             worker_pools: (0..config.worker_threads)
                 .map(|_| BufferPool::new())
                 .collect(),
-            zero_copy: config.zero_copy_io,
             partition_count,
             partition_slots,
             capacity: config.capacity,
@@ -810,10 +664,8 @@ impl StorageLayer {
 
     /// Stages one load: applies every control-layer state transition now
     /// (so later plans — and the scheduler's hit test — observe it) and
-    /// queues the device read for [`commit_io`](Self::commit_io) /
-    /// [`commit_scatter`](Self::commit_scatter). Returns the load's
-    /// observable identity so the pipelined driver can track hazards and
-    /// reserve stash space at plan time.
+    /// queues the device read for [`commit_io`](Self::commit_io). Returns
+    /// the load's observable identity.
     ///
     /// # Errors
     ///
@@ -845,7 +697,7 @@ impl StorageLayer {
                 let owner = self.take_owner_tracked(slot)?;
                 debug_assert_eq!(owner, Some(id), "location table and slot owners diverged");
                 self.posmap.set_in_memory(id)?;
-                PlannedLoad {
+                PlannedIo {
                     slot: Some(slot),
                     expect: Some(id),
                 }
@@ -855,7 +707,7 @@ impl StorageLayer {
                 // period accounting forces a shuffle before this can happen
                 // in a correct configuration. Commit treats it as a
                 // zero-cost no-op.
-                None => PlannedLoad {
+                None => PlannedIo {
                     slot: None,
                     expect: None,
                 },
@@ -865,7 +717,7 @@ impl StorageLayer {
                     if let Some(id) = expect {
                         self.posmap.set_in_memory(id)?;
                     }
-                    PlannedLoad {
+                    PlannedIo {
                         slot: Some(slot),
                         expect,
                     }
@@ -873,10 +725,7 @@ impl StorageLayer {
             },
         };
         self.pending.push(planned);
-        Ok(PlannedIo {
-            slot: planned.slot,
-            expect: planned.expect,
-        })
+        Ok(planned)
     }
 
     /// Number of loads staged and not yet committed.
@@ -884,107 +733,97 @@ impl StorageLayer {
         self.pending.len()
     }
 
-    /// A detached opener for the current epoch (see [`BatchOpener`]).
-    pub fn batch_opener(&self) -> BatchOpener {
-        BatchOpener {
-            sealer: self.sealer.clone(),
-            zero_copy: self.zero_copy,
-            device: self.device.name().to_string(),
-        }
-    }
-
-    /// The shared wall-clock worker pool (`None` on the serial path).
-    pub(crate) fn workers(&self) -> Option<Arc<WorkerPool>> {
-        self.workers.clone()
-    }
-
-    /// The device half of a batch commit: issues the first `count` staged
-    /// loads (one scatter read — or a plain read for a singleton, which
-    /// charges identically) and returns the raw ciphertexts for
-    /// [`BatchOpener::open`]. All simulated cost and trace records happen
-    /// here, on the calling thread, in planning order; the crypto phase
-    /// carries none.
+    /// Issues every staged load as one scatter read (or a plain read for
+    /// a singleton, which charges identically) and returns the per-load
+    /// results in planning order. All simulated cost and trace records
+    /// happen here, in planning order. Blocks expected live are verified
+    /// and decrypted in place; stale/dummy reads discard their bytes
+    /// unopened, exactly like the sequential path.
     ///
     /// # Errors
     ///
-    /// Storage errors propagate (fail-stop, as
-    /// [`commit_io`](Self::commit_io)).
-    pub fn commit_scatter(&mut self, count: usize) -> Result<RawBatch, OramError> {
-        let count = count.min(self.pending.len());
-        let planned: Vec<PlannedLoad> = self.pending.drain(..count).collect();
+    /// [`OramError::MalformedBlock`] if a slot does not hold the expected
+    /// block (protocol invariant violation);
+    /// [`StorageError::MissingBlock`] if a slot the metadata calls live
+    /// came back empty; storage/crypto errors propagate. Every error here
+    /// is **fail-stop**: planning already applied the loads'
+    /// control-state transitions (period markers, locations), and they
+    /// are not rolled back — a corrupted or missing block means the
+    /// device no longer matches the trusted metadata, so the instance
+    /// must be discarded, not retried.
+    pub fn commit_io(&mut self) -> Result<BatchLoad, OramError> {
+        let planned = std::mem::take(&mut self.pending);
         let before = *self.device.stats();
         let mut loads = Vec::with_capacity(planned.len());
-        if planned.len() == 1 {
+        if let [one] = planned[..] {
             // Per-block fast path: the sequential configuration
             // (io_batch = 1) commits one load at a time — skip the batch
             // bookkeeping and issue a plain read (a singleton scatter
             // charges exactly the same cost, so timing and trace are
             // unchanged).
-            let one = planned[0];
-            match one.slot {
-                None => loads.push(RawLoad {
-                    slot: None,
-                    expect: None,
-                    sealed: None,
-                    cost: SimDuration::ZERO,
-                }),
+            let (sealed, cost) = match one.slot {
+                None => (None, SimDuration::ZERO),
                 Some(slot) => {
                     let sealed = self.device.read_block(slot)?;
-                    let cost = self.storage_delta(&before).busy;
-                    loads.push(RawLoad {
-                        slot: Some(slot),
-                        expect: one.expect,
-                        sealed: Some(sealed),
-                        cost,
-                    });
+                    (Some(sealed), self.storage_delta(&before).busy)
                 }
-            }
+            };
+            loads.push(self.open_load(one, sealed, cost)?);
         } else {
             let slots: Vec<u64> = planned.iter().filter_map(|p| p.slot).collect();
             let mut items = self.device.read_scatter(&slots)?.into_iter();
-            for planned in planned {
-                let Some(slot) = planned.slot else {
-                    loads.push(RawLoad {
-                        slot: None,
-                        expect: None,
-                        sealed: None,
-                        cost: SimDuration::ZERO,
-                    });
-                    continue;
+            for load in planned {
+                let (sealed, cost) = match load.slot {
+                    None => (None, SimDuration::ZERO),
+                    Some(_) => {
+                        let item = items.next().ok_or_else(|| {
+                            OramError::internal("fewer scatter items than planned slots")
+                        })?;
+                        (item.block, item.cost)
+                    }
                 };
-                let item = items
-                    .next()
-                    .ok_or_else(|| OramError::internal("fewer scatter items than planned slots"))?;
-                loads.push(RawLoad {
-                    slot: Some(slot),
-                    expect: planned.expect,
-                    sealed: item.block,
-                    cost: item.cost,
-                });
+                loads.push(self.open_load(load, sealed, cost)?);
             }
         }
-        let io_time = self.storage_delta(&before).busy;
-        Ok(RawBatch { loads, io_time })
+        Ok(BatchLoad {
+            loads,
+            io_time: self.storage_delta(&before).busy,
+        })
     }
 
-    /// Issues every staged load as one scatter read and returns the
-    /// per-load results in planning order. Blocks expected live are
-    /// verified and decrypted (in place); stale/dummy reads discard their
-    /// bytes unopened, exactly like the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::MalformedBlock`] if a slot does not hold the expected
-    /// block (protocol invariant violation); storage/crypto errors
-    /// propagate. Every error here is **fail-stop**: planning already
-    /// applied the loads' control-state transitions (period markers,
-    /// locations), and they are not rolled back — a corrupted or missing
-    /// block means the device no longer matches the trusted metadata, so
-    /// the instance must be discarded, not retried.
-    pub fn commit_io(&mut self) -> Result<BatchLoad, OramError> {
-        let opener = self.batch_opener();
-        let raw = self.commit_scatter(self.pending.len())?;
-        opener.open(raw)
+    /// The crypto half of one committed load: a block expected live is
+    /// verified, decrypted in place and identity-checked; a stale or
+    /// dummy read is discarded unopened.
+    fn open_load(
+        &self,
+        load: PlannedIo,
+        sealed: Option<SealedBlock>,
+        duration: SimDuration,
+    ) -> Result<IoLoad, OramError> {
+        let (Some(slot), Some(id)) = (load.slot, load.expect) else {
+            return Ok(IoLoad {
+                block: None,
+                duration,
+            });
+        };
+        let Some(sealed) = sealed else {
+            return Err(OramError::Storage(StorageError::MissingBlock {
+                device: self.device.name().to_string(),
+                addr: slot,
+            }));
+        };
+        let body = self.sealer.open_in_place(sealed)?;
+        match BlockContent::decode_owned(body, slot)? {
+            BlockContent::Real {
+                id: stored,
+                payload,
+                ..
+            } if stored == id => Ok(IoLoad {
+                block: Some((id, payload)),
+                duration,
+            }),
+            _ => Err(OramError::MalformedBlock { slot }),
+        }
     }
 
     /// Plans and commits `plans` as one batch — the one-call form of
@@ -1059,44 +898,7 @@ impl StorageLayer {
         seed: u64,
     ) -> Result<ShuffleReport, OramError> {
         let window: Vec<u64> = (0..self.partition_count).collect();
-        let (report, _) = self.rebuild_window(hot, &window, seed, false)?;
-        Ok(report)
-    }
-
-    /// [`rebuild_full`](Self::rebuild_full) with the bulk position-map
-    /// rebuild **deferred**: the fresh slot→owner image is returned
-    /// instead of installed, and the caller must pass it to
-    /// [`finish_posmap_rebuild`](Self::finish_posmap_rebuild) before the
-    /// next access. The split lets the pipelined engine overlap the
-    /// position-map level sweep (posmap-internal clocks and traces only)
-    /// with the memory tree's own rebuild — the two touch disjoint state,
-    /// and the serial order is posmap-then-tree either way, so results
-    /// are byte-identical to [`rebuild_full`](Self::rebuild_full).
-    ///
-    /// # Errors
-    ///
-    /// Storage/crypto errors propagate.
-    pub fn rebuild_full_deferred(
-        &mut self,
-        hot: Vec<(BlockId, Vec<u8>)>,
-        seed: u64,
-    ) -> Result<(ShuffleReport, Vec<Option<BlockId>>), OramError> {
-        let window: Vec<u64> = (0..self.partition_count).collect();
-        let (report, image) = self.rebuild_window(hot, &window, seed, true)?;
-        Ok((
-            report,
-            image.ok_or_else(|| OramError::internal("full rebuild produced no deferred image"))?,
-        ))
-    }
-
-    /// Installs the slot→owner image a
-    /// [`rebuild_full_deferred`](Self::rebuild_full_deferred) returned.
-    ///
-    /// # Errors
-    ///
-    /// Position-map errors propagate (instance-fatal).
-    pub fn finish_posmap_rebuild(&mut self, image: &[Option<BlockId>]) -> Result<(), OramError> {
-        self.posmap.rebuild_all(image)
+        self.rebuild_window(hot, &window, seed)
     }
 
     /// Partial shuffle (§5.3.1): rebuild only the next `window_len`
@@ -1137,7 +939,7 @@ impl StorageLayer {
         self.partial_window_start =
             (self.partial_window_start + window.len() as u64) % self.partition_count;
         let extended = window.len() as u64 - window_len;
-        let (mut report, _) = self.rebuild_window(hot, &window, seed, false)?;
+        let mut report = self.rebuild_window(hot, &window, seed)?;
         report.spilled += extended;
         Ok(report)
     }
@@ -1174,8 +976,7 @@ impl StorageLayer {
         hot: Vec<(BlockId, Vec<u8>)>,
         window: &[u64],
         seed: u64,
-        defer_posmap: bool,
-    ) -> Result<(ShuffleReport, Option<SlotImage>), OramError> {
+    ) -> Result<ShuffleReport, OramError> {
         if !self.pending.is_empty() {
             return Err(OramError::internal(
                 "shuffle while a planned I/O batch is uncommitted",
@@ -1252,14 +1053,9 @@ impl StorageLayer {
         for (pass, &partition) in window.iter().enumerate() {
             let base = partition * self.partition_slots;
 
-            // Read stream: one streaming op. Zero-copy mode takes the
-            // ciphertexts out of the store (every slot is rewritten below);
-            // legacy mode clones them like the original implementation.
-            let mut taken = if self.zero_copy {
-                self.device.take_run(base, self.partition_slots)?
-            } else {
-                self.device.read_run(base, self.partition_slots)?
-            };
+            // Read stream: one streaming op that takes the ciphertexts out
+            // of the store (every slot is rewritten below).
+            let mut taken = self.device.take_run(base, self.partition_slots)?;
 
             // Control sweep: release every slot's ownership up front so
             // the crypto half below is pure over its inputs (the order of
@@ -1279,7 +1075,6 @@ impl StorageLayer {
                 let ctx = PassCrypto {
                     read_sealer: &read_sealer,
                     write_sealer: &self.sealer,
-                    zero_copy: self.zero_copy,
                     payload_len: self.payload_len,
                     wire_len,
                     device: self.device.name(),
@@ -1391,7 +1186,6 @@ impl StorageLayer {
             let ctx = PassCrypto {
                 read_sealer: &read_sealer,
                 write_sealer: &self.sealer,
-                zero_copy: self.zero_copy,
                 payload_len: self.payload_len,
                 wire_len,
                 device: self.device.name(),
@@ -1454,30 +1248,22 @@ impl StorageLayer {
             };
             self.device.write_run(base, sealed_run)?;
         }
-        let deferred_image = if full && defer_posmap {
-            Some(full_image)
-        } else {
-            if full {
-                self.posmap.rebuild_all(&full_image)?;
-            }
-            None
-        };
+        if full {
+            self.posmap.rebuild_all(&full_image)?;
+        }
         // New period: fresh PRP key for the lazy dummy order (touched
         // slots are skipped at consumption time).
         self.period_counter += 1;
         self.reset_dummy_order(seed)?;
 
         let delta = self.storage_delta(&before);
-        Ok((
-            ShuffleReport {
-                wall_time: delta.busy_read.max(delta.busy_write),
-                read_time: delta.busy_read,
-                write_time: delta.busy_write,
-                partitions: window.len() as u64,
-                spilled: spilled_total,
-            },
-            deferred_image,
-        ))
+        Ok(ShuffleReport {
+            wall_time: delta.busy_read.max(delta.busy_write),
+            read_time: delta.busy_read,
+            write_time: delta.busy_write,
+            partitions: window.len() as u64,
+            spilled: spilled_total,
+        })
     }
 }
 
@@ -1493,11 +1279,9 @@ mod tests {
     fn build_threaded(
         capacity: u64,
         trace: Option<AccessTrace>,
-        zero_copy: bool,
         worker_threads: usize,
     ) -> StorageLayer {
-        let mut config = HOramConfig::new(capacity, 8, 64).with_worker_threads(worker_threads);
-        config.zero_copy_io = zero_copy;
+        let config = HOramConfig::new(capacity, 8, 64).with_worker_threads(worker_threads);
         let device = MachineConfig::dac2019().build_storage(SimClock::new(), trace);
         let master = MasterKey::from_bytes([8; 32]);
         let keys = KeyHierarchy::new(master.clone(), "storage-layer-test");
@@ -1508,17 +1292,13 @@ mod tests {
     // The baseline fixtures pin `worker_threads = 1` (the serial path) so
     // assertions about the shared pool's counters stay machine-independent;
     // the `parallel_*` tests below compare the threaded path against them.
-    fn build_with(capacity: u64, trace: Option<AccessTrace>, zero_copy: bool) -> StorageLayer {
-        build_threaded(capacity, trace, zero_copy, 1)
-    }
-
     fn build(capacity: u64) -> StorageLayer {
-        build_with(capacity, None, true)
+        build_threaded(capacity, None, 1)
     }
 
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
         let trace = AccessTrace::new();
-        let layer = build_with(capacity, Some(trace.clone()), true);
+        let layer = build_threaded(capacity, Some(trace.clone()), 1);
         trace.clear();
         (layer, trace)
     }
@@ -1760,37 +1540,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_crypto_mode_is_observably_identical() {
-        // zero_copy off must produce the same data, trace, and simulated
-        // timing — it ablates host-side copies only.
-        let trace_zc = AccessTrace::new();
-        let mut zc = build_with(64, Some(trace_zc.clone()), true);
-        let trace_legacy = AccessTrace::new();
-        let mut legacy = build_with(64, Some(trace_legacy.clone()), false);
-        let plan = [
-            LoadPlan::Miss(BlockId(7)),
-            LoadPlan::Dummy,
-            LoadPlan::Miss(BlockId(3)),
-            LoadPlan::Dummy,
-        ];
-        let batch_zc = zc.load_batch(&plan).unwrap();
-        let batch_legacy = legacy.load_batch(&plan).unwrap();
-        assert_eq!(batch_zc, batch_legacy);
-        let hot = vec![(BlockId(7), vec![1u8; 8]), (BlockId(3), vec![0u8; 8])];
-        zc.rebuild_full(hot.clone(), 9).unwrap();
-        legacy.rebuild_full(hot, 9).unwrap();
-        assert_eq!(
-            trace_zc.address_sequence(zc.device().id()),
-            trace_legacy.address_sequence(legacy.device().id())
-        );
-        assert_eq!(zc.device().stats(), legacy.device().stats());
-        assert_eq!(
-            zc.fetch(BlockId(7)).unwrap().block,
-            legacy.fetch(BlockId(7)).unwrap().block
-        );
-    }
-
-    #[test]
     fn partition_live_counts_stay_consistent() {
         let mut layer = build(256);
         layer.fetch(BlockId(3)).unwrap();
@@ -1880,7 +1629,7 @@ mod tests {
         let serial_fp = shuffle_fingerprint(&mut serial, &serial_trace);
         for threads in [2usize, 4] {
             let trace = AccessTrace::new();
-            let mut layer = build_threaded(256, Some(trace.clone()), true, threads);
+            let mut layer = build_threaded(256, Some(trace.clone()), threads);
             trace.clear();
             let fp = shuffle_fingerprint(&mut layer, &trace);
             assert_eq!(serial_fp, fp, "threads={threads} diverged");
@@ -1893,25 +1642,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_legacy_mode_matches_too() {
-        let trace_a = AccessTrace::new();
-        let mut serial = build_threaded(256, Some(trace_a.clone()), false, 1);
-        trace_a.clear();
-        let fp_a = shuffle_fingerprint(&mut serial, &trace_a);
-        let trace_b = AccessTrace::new();
-        let mut threaded = build_threaded(256, Some(trace_b.clone()), false, 4);
-        trace_b.clear();
-        let fp_b = shuffle_fingerprint(&mut threaded, &trace_b);
-        assert_eq!(fp_a, fp_b);
-    }
-
-    #[test]
     fn parallel_steady_state_shuffle_recycles_buffers() {
         // The per-worker pools (pre-stocked per chunk, drained back each
         // phase) must preserve the zero-allocation steady state: after a
         // warm-up period, whole periods allocate nothing across the shared
         // pool and every worker pool combined.
-        let mut layer = build_threaded(256, None, true, 4);
+        let mut layer = build_threaded(256, None, 4);
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {

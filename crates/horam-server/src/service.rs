@@ -64,13 +64,16 @@ pub struct ServiceConfig {
     /// distrusting tenants (see the [module docs](self)); disable it
     /// when that matters more than throughput.
     pub dedup: bool,
-    /// Scheduling cycles drained per I/O window: each pump plans up to
-    /// this many cycles and issues their storage loads as one scatter
-    /// read (`HOram::run_cycle_window`), coalescing per-op device
-    /// overhead. Every window's observable shape matches the per-cycle
-    /// path cycle for cycle; `1` reproduces the per-cycle drain exactly,
-    /// while larger windows check the pump's low watermark only between
-    /// windows (so a drain can run up to one window past it).
+    /// Scheduling cycles drained per I/O window: the pump drains through
+    /// [`OramEngine::run_cycle_window`] calls of up to this many cycles,
+    /// each planning its cycles and issuing their storage loads as one
+    /// scatter read, coalescing per-op device overhead. Every window's
+    /// observable shape matches the per-cycle path cycle for cycle; `1`
+    /// reproduces the per-cycle drain exactly, while larger windows check
+    /// the pump's low watermark only between windows (so a drain can run
+    /// up to one window past it).
+    ///
+    /// [`OramEngine::run_cycle_window`]: horam_core::engine::OramEngine::run_cycle_window
     pub io_batch: u64,
     /// Wall-clock worker threads the deployment should build its engine
     /// with (`HOramConfig::worker_threads`): a sharded engine pumps busy
@@ -97,17 +100,6 @@ pub struct ServiceConfig {
     /// through [`engine_config`](Self::engine_config); responses are
     /// byte-identical in either mode.
     pub posmap: horam_core::config::PosmapMode,
-    /// Cycle-pipeline configuration the deployment should build its
-    /// engine with (`HOramConfig::pipeline`): how many I/O windows the
-    /// engine may keep in flight per pump. Consumed through
-    /// [`engine_config`](Self::engine_config); the pump also reads the
-    /// resolved depth to issue `run_cycle_burst` calls that keep the
-    /// engine's pipeline fed. Like [`worker_threads`](Self::worker_threads),
-    /// this changes wall-clock behaviour only — responses, statistics,
-    /// traces, and simulated time are byte-identical at any depth. The
-    /// default leaves the depth to the engine's machine hint (sequential
-    /// when unset).
-    pub pipeline: horam_core::PipelineConfig,
 }
 
 impl Default for ServiceConfig {
@@ -122,7 +114,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             cache: None,
             posmap: horam_core::config::PosmapMode::Flat,
-            pipeline: horam_core::PipelineConfig::default(),
         }
     }
 }
@@ -140,8 +131,7 @@ impl ServiceConfig {
     ) -> horam_core::config::HOramConfig {
         let base = base
             .with_worker_threads(self.worker_threads)
-            .with_posmap(self.posmap.clone())
-            .with_pipeline(self.pipeline.clone());
+            .with_posmap(self.posmap.clone());
         match &self.cache {
             Some(cache) => base.with_cache(cache.clone()),
             None => base,
@@ -572,7 +562,7 @@ impl<E: OramEngine> OramService<E> {
         }
 
         // Schedule: drain to the low watermark — or fully, when no more
-        // admissions can refill the pipeline (or an empty admission round
+        // admissions can refill the ROB (or an empty admission round
         // left the ROB below the watermark, which must still progress).
         let watermark = if self.pending_total() > 0 && admitted_count > 0 {
             self.config.batch_size / 2
@@ -584,19 +574,15 @@ impl<E: OramEngine> OramService<E> {
         // under the multi-tenant path. Windows are clamped to the request
         // count above the watermark, so deep queues get full batches
         // while near the watermark the drain falls back to short windows.
-        // The watermark is still checked at burst granularity: because a
-        // cycle can retire up to `c` hits, a burst may drain past it by
-        // up to a burst's worth of retirements before the next check —
-        // a deliberate trade (full scatter batches, fed pipelines) over
-        // stopping per-cycle. At pipeline depths above one the burst
-        // hands the engine several windows at once so lookahead planning
-        // overlaps in-flight commits; results are byte-identical either
-        // way, so the watermark drain logic does not care about depth.
-        let depth = self.config.pipeline.effective_depth(None);
+        // The watermark is still checked at window granularity: because
+        // a cycle can retire up to `c` hits, a window may drain past it
+        // by up to a window's worth of retirements before the next check
+        // — a deliberate trade (full scatter batches) over stopping
+        // per-cycle.
         while self.oram.pending_requests() > watermark {
             let above = (self.oram.pending_requests() - watermark) as u64;
             self.oram
-                .run_cycle_burst(self.config.io_batch.min(above), depth)?;
+                .run_cycle_window(self.config.io_batch.min(above))?;
         }
 
         // Collect every response that completed. Piggybackers share their

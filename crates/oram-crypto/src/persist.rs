@@ -33,9 +33,12 @@ use std::fmt;
 
 /// Magic bytes opening every sealed snapshot.
 pub const ENVELOPE_MAGIC: [u8; 8] = *b"HORAMSNP";
-/// Envelope format version. Bumped on any layout change; readers reject
-/// versions they do not know.
-pub const ENVELOPE_VERSION: u32 = 1;
+/// Envelope format version. Bumped on any layout change of the envelope
+/// or of the engine state it wraps; readers reject versions they do not
+/// know. Version 2 dropped two engine-configuration fields from the
+/// snapshot body, so version-1 snapshots are refused rather than
+/// misparsed.
+pub const ENVELOPE_VERSION: u32 = 2;
 /// Plaintext header length: magic + version + kind + seq + body length.
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
 /// Authentication tag length.

@@ -27,7 +27,6 @@ pub mod oram_trait;
 pub mod partition_oram;
 pub mod path_oram;
 pub mod position_map;
-pub mod recursive;
 pub mod square_root;
 pub mod stash;
 pub mod tree_top_cache;
@@ -40,7 +39,6 @@ pub use oram_trait::Oram;
 pub use partition_oram::{PartitionOram, PartitionStats};
 pub use path_oram::{AccessReceipt, PathOram, PathOramConfig, PathOramCore, PathOramStats};
 pub use position_map::PositionMap;
-pub use recursive::RecursivePathOram;
 pub use square_root::{SquareRootOram, SquareRootStats};
 pub use stash::{Stash, StashEntry};
 pub use tree_top_cache::{build_tree_top_cache, TreeTopCachePathOram, TreeTopSplit};

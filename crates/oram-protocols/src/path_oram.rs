@@ -535,12 +535,10 @@ impl<B: TreeBackend> PathOramCore<B> {
     /// never assigned), applies `op` to the stash entry, remaps the block
     /// to `new_leaf`, and writes the path back.
     ///
-    /// This is the building block of the recursive-position-map
-    /// construction ([`crate::recursive`]): the caller keeps leaf labels
-    /// in higher ORAM levels and this instance's internal map is merely
-    /// kept in sync as a debugging cross-check (a production recursive
-    /// build would omit it — it is trusted-side metadata and costs no
-    /// simulated time either way).
+    /// This is the building block of the `*_at` access variants: the
+    /// caller supplies the leaves, and this instance's internal map is
+    /// merely kept in sync as a cross-check (it is trusted-side metadata
+    /// and costs no simulated time).
     ///
     /// # Errors
     ///
@@ -588,17 +586,17 @@ impl<B: TreeBackend> PathOramCore<B> {
     }
 
     /// A uniformly random leaf drawn from this instance's seeded RNG —
-    /// exposed so recursive wrappers draw remap targets from the same
-    /// replayable stream, and so pipelined schedulers can **pre-draw** an
-    /// access's randomness at plan time (see the `*_at` access variants).
+    /// exposed so a scheduler can **pre-draw** an access's randomness at
+    /// plan time from the same replayable stream (see the `*_at` access
+    /// variants).
     pub fn draw_leaf(&mut self) -> u64 {
         rng_uniform(&mut self.rng, self.geometry.leaf_count())
     }
 
     /// The RNG stream position `(block counter, byte cursor)` — exposed
-    /// for determinism audits: the pipelined scheduler's regression tests
-    /// pin these positions to prove that pre-drawing randomness at plan
-    /// time consumes the stream exactly as the unpipelined path does.
+    /// for determinism audits: regression tests pin these positions to
+    /// prove that pre-drawing randomness at plan time consumes the stream
+    /// exactly as drawing it at access time does.
     pub fn rng_stream_pos(&self) -> (u32, usize) {
         self.rng.stream_pos()
     }
@@ -663,16 +661,6 @@ impl<B: TreeBackend> PathOramCore<B> {
         })
     }
 
-    /// The internal position-map entry for `id`, if assigned. Root levels
-    /// of the recursive construction use their internal map as the trusted
-    /// root table; this is its lookup.
-    pub fn leaf_hint(&self, id: BlockId) -> Option<u64> {
-        if id.0 >= self.capacity {
-            return None;
-        }
-        self.position_map.get(id)
-    }
-
     /// Writes block `id`, returning the previous payload and timing
     /// receipt.
     ///
@@ -711,9 +699,9 @@ impl<B: TreeBackend> PathOramCore<B> {
 
     /// [`dummy_access`](Self::dummy_access) with a **pre-drawn** path:
     /// reads and writes back the path of `leaf` instead of drawing one.
-    /// Pipelined schedulers draw the leaf (via
-    /// [`draw_leaf`](Self::draw_leaf)) at plan time so overlap depth
-    /// cannot reorder the RNG stream.
+    /// A windowed scheduler draws the leaf (via
+    /// [`draw_leaf`](Self::draw_leaf)) at plan time, so the RNG stream
+    /// follows plan order.
     ///
     /// # Errors
     ///
@@ -744,7 +732,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     }
 
     /// [`insert_block`](Self::insert_block) with a **pre-drawn** leaf
-    /// assignment — the pipelined scheduler's I/O-arrival path, where the
+    /// assignment — the windowed scheduler's I/O-arrival path, where the
     /// leaf was drawn at plan time (see
     /// [`draw_leaf`](Self::draw_leaf)).
     ///
@@ -1051,7 +1039,7 @@ mod tests {
         // other pre-draws each access's randomness in the same order and
         // feeds it to the `*_at` variants. Results, device access counts,
         // statistics, and the RNG stream position must all be identical —
-        // the contract the pipelined scheduler's pre-draw rests on.
+        // the contract the windowed scheduler's pre-draw rests on.
         let mut drawing = memory_oram(32, 4);
         let mut pinned = memory_oram(32, 4);
 

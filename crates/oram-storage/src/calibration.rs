@@ -13,7 +13,8 @@
 //! The HDD seek constants (55 µs base + 1 ms × √(span fraction)) are fitted
 //! to the per-access I/O latencies the paper measures in Tables 5-3/5-4
 //! (77 µs and 107 µs for single-block reads over 64 MB and 1 GB spans);
-//! EXPERIMENTS.md documents the fit quality for every reproduced number.
+//! the table binaries of the `bench` crate print every reproduced number
+//! beside the paper's (README, "Reproducing the paper").
 
 use crate::clock::SimClock;
 use crate::device::Device;
@@ -69,13 +70,6 @@ pub struct MachineConfig {
     /// Optional block cache (and middle tier) installed in front of the
     /// storage device; `None` reproduces the paper's uncached setup.
     pub cache: Option<crate::cache::CacheConfig>,
-    /// Suggested cycle-pipeline depth for engines built on this machine
-    /// (how many scheduling windows they may keep in flight). A *hint*:
-    /// engines adopt it only when their own configuration leaves the
-    /// depth unset, and results are byte-identical at any depth — the
-    /// hint only tunes wall-clock behaviour to the host. `None` (the
-    /// default, serialized as `null`) leaves engines sequential.
-    pub pipeline_depth: Option<u64>,
 }
 
 impl MachineConfig {
@@ -86,7 +80,6 @@ impl MachineConfig {
             storage: StorageKind::PaperHdd,
             block_bytes: 1024,
             cache: None,
-            pipeline_depth: None,
         }
     }
 
@@ -97,20 +90,12 @@ impl MachineConfig {
             storage: StorageKind::Ssd,
             block_bytes: 1024,
             cache: None,
-            pipeline_depth: None,
         }
     }
 
     /// Adds a block cache in front of the storage device.
     pub fn with_cache(mut self, cache: crate::cache::CacheConfig) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Suggests a cycle-pipeline depth to engines built on this machine
-    /// (see [`pipeline_depth`](Self::pipeline_depth)).
-    pub fn with_pipeline_depth(mut self, depth: u64) -> Self {
-        self.pipeline_depth = Some(depth);
         self
     }
 

@@ -187,6 +187,38 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
+/// A restart checkpoint written by the previous snapshot layout (envelope
+/// version 1, whose engine configuration still carried two fields this
+/// build no longer has): the checkpoint wrapper still parses, and the
+/// engine snapshot inside it is refused with the typed version error
+/// before any of its body is read.
+#[test]
+fn previous_layout_checkpoint_is_refused_with_a_version_error() {
+    use horam::core::persist::{KIND_SINGLE, SNAPSHOT_DOMAIN};
+    use horam::crypto::persist::{open_envelope, PersistError, ENVELOPE_VERSION};
+    use horam_rpc::server::Checkpoint;
+
+    // Sealed by an 8-block engine (payload 1, memory 4, seed 3) under
+    // this master key after one write of `[9]` to block 1.
+    let master = MasterKey::from_bytes([7; 32]);
+    let bytes = include_bytes!("fixtures/checkpoint_envelope_v1.hckp");
+    let checkpoint = Checkpoint::from_bytes(bytes).expect("the HCKP wrapper is unchanged");
+    let expected = PersistError::BadVersion {
+        found: 1,
+        expected: ENVELOPE_VERSION,
+    };
+
+    let keys = master.derive(SNAPSHOT_DOMAIN, 0);
+    assert_eq!(
+        open_envelope(&keys, KIND_SINGLE, &checkpoint.snapshot),
+        Err(expected.clone())
+    );
+    match HOram::restore(MemoryHierarchy::dac2019(), master, &checkpoint.snapshot) {
+        Err(OramError::SnapshotInvalid { reason }) => assert_eq!(reason, expected.to_string()),
+        other => panic!("old-layout snapshot not refused: {:?}", other.map(|_| ())),
+    }
+}
+
 #[test]
 fn kill_at_arbitrary_cycle_boundary_with_file_backend() {
     // One uninterrupted reference run against a file-backed device, and
