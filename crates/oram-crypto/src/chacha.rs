@@ -10,20 +10,29 @@
 //!
 //! # The batch hot path
 //!
-//! The ORAM rebuild stream seals and opens every physical slot once per
-//! shuffle period, so per-call overhead here is a top-line cost. Three
-//! batch optimizations keep it down, all bit-identical to the scalar path:
+//! Every slot that leaves the trusted boundary is sealed and every slot
+//! that comes back is opened: one memory-tree access alone re-encrypts 96
+//! slots of 1 041 bytes, and the rebuild stream seals every physical slot
+//! once per shuffle period. Two things keep that cost down, both
+//! bit-identical to the RFC block function:
 //!
 //! * **cached key schedule** — [`ChaChaKey`] parses the 32 key bytes into
 //!   state words once; long-lived callers (`BlockSealer`) construct
 //!   streams from it instead of re-parsing the raw key per block;
-//! * **wide keystream generation** — runs of four keystream blocks are
-//!   computed together, each quarter-round pass advancing four
-//!   independent lanes (plain `u32` lane loops the compiler
-//!   auto-vectorizes), instead of one 16-word state at a time;
-//! * **fused copy+XOR** — [`ChaCha20::apply_keystream_into`] writes
-//!   `src ⊕ keystream` straight into a destination buffer, removing the
-//!   copy-then-XOR-in-place round trip from the borrowing seal path.
+//! * **one AVX2 kernel** — [`ChaCha20::apply_keystream`] covers every
+//!   whole 512-byte run of its input with a kernel that computes eight
+//!   keystream blocks per pass, one block per 32-bit lane of sixteen
+//!   256-bit registers. The scalar [`ChaCha20::keystream_block`] is the
+//!   portable fallback and the test reference, and it covers the tail
+//!   after the last whole run (the 17th block of an encoded 1 KiB slot,
+//!   the tens-of-bytes storage wire bodies).
+//!
+//! The kernel is chosen by a run-time CPU check
+//! (`is_x86_feature_detected!("avx2")`), not by a build option, so a
+//! default release build uses it wherever the CPU has it. On other CPUs
+//! and architectures every byte goes through the scalar path. The
+//! `chacha20_batch` group of `crates/bench/benches/crypto.rs` measures
+//! the kernel against the scalar reference.
 
 /// Key length in bytes (256-bit key).
 pub const KEY_LEN: usize = 32;
@@ -32,10 +41,12 @@ pub const NONCE_LEN: usize = 12;
 /// Keystream block length in bytes.
 pub const BLOCK_LEN: usize = 64;
 
-/// Keystream blocks generated per wide pass.
-const LANES: usize = 4;
-/// Bytes produced by one wide pass.
-const WIDE_LEN: usize = BLOCK_LEN * LANES;
+/// Keystream blocks one AVX2 kernel pass produces (one per 32-bit lane).
+#[cfg(target_arch = "x86_64")]
+const VECTOR_BLOCKS: usize = 8;
+/// Bytes one AVX2 kernel pass covers.
+#[cfg(target_arch = "x86_64")]
+const VECTOR_RUN: usize = BLOCK_LEN * VECTOR_BLOCKS;
 
 /// The four ChaCha constants: ASCII `"expand 32-byte k"` as little-endian words.
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -176,55 +187,6 @@ impl ChaCha20 {
         out
     }
 
-    /// Produces four consecutive keystream blocks (`counter .. counter+4`)
-    /// in one pass. The quarter rounds advance four independent lanes per
-    /// operation — plain `u32` lane loops the compiler auto-vectorizes —
-    /// so the per-pass bookkeeping amortizes over 256 bytes of keystream.
-    fn keystream_wide(&self, counter: u32) -> [u8; WIDE_LEN] {
-        let template = self.state(counter);
-        let mut init = [[0u32; LANES]; 16];
-        for (i, row) in init.iter_mut().enumerate() {
-            *row = [template[i]; LANES];
-        }
-        for (lane, cell) in init[12].iter_mut().enumerate() {
-            *cell = counter.wrapping_add(lane as u32);
-        }
-
-        let mut working = init;
-        for _ in 0..10 {
-            // Column round.
-            quarter_round_wide(&mut working, 0, 4, 8, 12);
-            quarter_round_wide(&mut working, 1, 5, 9, 13);
-            quarter_round_wide(&mut working, 2, 6, 10, 14);
-            quarter_round_wide(&mut working, 3, 7, 11, 15);
-            // Diagonal round.
-            quarter_round_wide(&mut working, 0, 5, 10, 15);
-            quarter_round_wide(&mut working, 1, 6, 11, 12);
-            quarter_round_wide(&mut working, 2, 7, 8, 13);
-            quarter_round_wide(&mut working, 3, 4, 9, 14);
-        }
-
-        let mut out = [0u8; WIDE_LEN];
-        for lane in 0..LANES {
-            for i in 0..16 {
-                let word = working[i][lane].wrapping_add(init[i][lane]);
-                let at = lane * BLOCK_LEN + 4 * i;
-                out[at..at + 4].copy_from_slice(&word.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Asserts the counter can cover `data` and returns the block count.
-    fn check_budget(&self, len: usize) -> u64 {
-        let blocks = len.div_ceil(BLOCK_LEN) as u64;
-        assert!(
-            u64::from(self.counter) + blocks <= u64::from(u32::MAX) + 1,
-            "chacha20 counter overflow: keystream exhausted for this (key, nonce)"
-        );
-        blocks
-    }
-
     /// XORs the keystream into `data`, advancing the stream position.
     ///
     /// Encryption and decryption are the same operation. The stream position
@@ -239,20 +201,13 @@ impl ChaCha20 {
     /// keystream from a single (key, nonce) pair), which indicates key
     /// management misuse.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        self.check_budget(data.len());
-        let mut offset = 0;
-        // Wide passes while ≥4 blocks remain: every generated block is
-        // consumed, so the wide path is never wasted work.
-        while data.len() - offset > 3 * BLOCK_LEN {
-            let take = WIDE_LEN.min(data.len() - offset);
-            let ks = self.keystream_wide(self.counter);
-            for (byte, k) in data[offset..offset + take].iter_mut().zip(ks.iter()) {
-                *byte ^= k;
-            }
-            self.counter = self.counter.wrapping_add(take.div_ceil(BLOCK_LEN) as u32);
-            offset += take;
-        }
-        for chunk in data[offset..].chunks_mut(BLOCK_LEN) {
+        let blocks = data.len().div_ceil(BLOCK_LEN) as u64;
+        assert!(
+            u64::from(self.counter) + blocks <= u64::from(u32::MAX) + 1,
+            "chacha20 counter overflow: keystream exhausted for this (key, nonce)"
+        );
+        let done = self.apply_vector_runs(data);
+        for chunk in data[done..].chunks_mut(BLOCK_LEN) {
             let ks = self.keystream_block(self.counter);
             for (byte, k) in chunk.iter_mut().zip(ks.iter()) {
                 *byte ^= k;
@@ -261,47 +216,27 @@ impl ChaCha20 {
         }
     }
 
-    /// Writes `src ⊕ keystream` into `dst`, advancing the stream position —
-    /// the fused copy+XOR used by the borrowing seal path (one pass over
-    /// the bytes instead of copy-then-encrypt-in-place). Bit-identical to
-    /// copying `src` into `dst` and calling
-    /// [`apply_keystream`](Self::apply_keystream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths differ, or on counter overflow as
-    /// [`apply_keystream`](Self::apply_keystream).
-    pub fn apply_keystream_into(&mut self, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-        self.check_budget(src.len());
-        let mut offset = 0;
-        while src.len() - offset > 3 * BLOCK_LEN {
-            let take = WIDE_LEN.min(src.len() - offset);
-            let ks = self.keystream_wide(self.counter);
-            for ((out, byte), k) in dst[offset..offset + take]
-                .iter_mut()
-                .zip(src[offset..offset + take].iter())
-                .zip(ks.iter())
-            {
-                *out = byte ^ k;
+    /// XORs the keystream into the longest prefix of `data` made of whole
+    /// 512-byte runs, using the AVX2 kernel when the CPU reports AVX2, and
+    /// returns the length of that prefix: 0 on CPUs without AVX2 or for
+    /// inputs shorter than one run. The caller has checked the counter
+    /// budget for all of `data`.
+    fn apply_vector_runs(&mut self, data: &mut [u8]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            let (runs, _) = data.as_chunks_mut::<VECTOR_RUN>();
+            let done = runs.len() * VECTOR_RUN;
+            for run in runs {
+                // SAFETY: the CPU reports AVX2 (checked just above), the
+                // only target feature the kernel enables.
+                unsafe { xor_keystream_avx2(&self.key, &self.nonce, self.counter, run) };
+                self.counter = self.counter.wrapping_add(VECTOR_BLOCKS as u32);
             }
-            self.counter = self.counter.wrapping_add(take.div_ceil(BLOCK_LEN) as u32);
-            offset += take;
+            return done;
         }
-        let mut at = offset;
-        while at < src.len() {
-            let take = BLOCK_LEN.min(src.len() - at);
-            let ks = self.keystream_block(self.counter);
-            for ((out, byte), k) in dst[at..at + take]
-                .iter_mut()
-                .zip(src[at..at + take].iter())
-                .zip(ks.iter())
-            {
-                *out = byte ^ k;
-            }
-            self.counter = self.counter.wrapping_add(1);
-            at += take;
-        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = data;
+        0
     }
 
     /// One-shot convenience: XORs the keystream for `(key, nonce, counter)`
@@ -324,39 +259,126 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// The quarter round over four independent lanes. Each statement of the
-/// scalar round becomes a lane loop over plain `u32`s, which the compiler
-/// turns into 4-wide vector ops where the target supports them.
-// Indexed lane loops are deliberate: every statement reads one state row
-// and writes another (`s[a][l]`, `s[d][l]`), which zipped iterators cannot
-// express without splitting borrows and defeating the vectorizable shape.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-fn quarter_round_wide(s: &mut [[u32; LANES]; 16], a: usize, b: usize, c: usize, d: usize) {
-    for l in 0..LANES {
-        s[a][l] = s[a][l].wrapping_add(s[b][l]);
+/// XORs keystream blocks `counter .. counter + 8` into one 512-byte run.
+///
+/// Lane `l` of state register `i` holds word `i` of block `counter + l`,
+/// so every instruction advances all eight blocks. Rotations by 16 and 8
+/// are byte shuffles; rotations by 12 and 7 are shift-or pairs. After the
+/// rounds, two 8×8 transposes turn the lanes back into block order.
+/// Bit-identical to [`ChaCha20::keystream_block`] for each block,
+/// including the `u32` wrap of `counter + lane`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn xor_keystream_avx2(key: &[u32; 8], nonce: &[u32; 3], counter: u32, run: &mut [u8; VECTOR_RUN]) {
+    use std::arch::x86_64::*;
+
+    // Byte shuffles rotating every 32-bit word left by 16 and by 8 (the
+    // pattern repeats per 128-bit half, as `shuffle_epi8` works per half).
+    let rot16 = _mm256_setr_epi8(
+        2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+        2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+    );
+    let rot8 = _mm256_setr_epi8(
+        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+    );
+
+    let mut init = [_mm256_setzero_si256(); 16];
+    for (row, &word) in init.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+        *row = _mm256_set1_epi32(word as i32);
     }
-    for l in 0..LANES {
-        s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(16);
+    init[12] = _mm256_add_epi32(
+        _mm256_set1_epi32(counter as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    for (row, &word) in init[13..].iter_mut().zip(nonce) {
+        *row = _mm256_set1_epi32(word as i32);
     }
-    for l in 0..LANES {
-        s[c][l] = s[c][l].wrapping_add(s[d][l]);
+
+    let mut s = init;
+    macro_rules! quarter_round {
+        ($a:literal, $b:literal, $c:literal, $d:literal) => {
+            s[$a] = _mm256_add_epi32(s[$a], s[$b]);
+            s[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(s[$d], s[$a]), rot16);
+            s[$c] = _mm256_add_epi32(s[$c], s[$d]);
+            let x = _mm256_xor_si256(s[$b], s[$c]);
+            s[$b] = _mm256_or_si256(_mm256_slli_epi32::<12>(x), _mm256_srli_epi32::<20>(x));
+            s[$a] = _mm256_add_epi32(s[$a], s[$b]);
+            s[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(s[$d], s[$a]), rot8);
+            s[$c] = _mm256_add_epi32(s[$c], s[$d]);
+            let x = _mm256_xor_si256(s[$b], s[$c]);
+            s[$b] = _mm256_or_si256(_mm256_slli_epi32::<7>(x), _mm256_srli_epi32::<25>(x));
+        };
     }
-    for l in 0..LANES {
-        s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(12);
+    for _ in 0..10 {
+        // Column round.
+        quarter_round!(0, 4, 8, 12);
+        quarter_round!(1, 5, 9, 13);
+        quarter_round!(2, 6, 10, 14);
+        quarter_round!(3, 7, 11, 15);
+        // Diagonal round.
+        quarter_round!(0, 5, 10, 15);
+        quarter_round!(1, 6, 11, 12);
+        quarter_round!(2, 7, 8, 13);
+        quarter_round!(3, 4, 9, 14);
     }
-    for l in 0..LANES {
-        s[a][l] = s[a][l].wrapping_add(s[b][l]);
+    for (row, start) in s.iter_mut().zip(init) {
+        *row = _mm256_add_epi32(*row, start);
     }
-    for l in 0..LANES {
-        s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(8);
+
+    // `low[l]` is words 0..8 of block `l`, `high[l]` words 8..16: the
+    // first and second 32 bytes of its keystream.
+    let low = transpose_8x8([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
+    let high = transpose_8x8([s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]]);
+    let (halves, _) = run.as_chunks_mut::<32>();
+    for (block, (low, high)) in halves.chunks_exact_mut(2).zip(low.into_iter().zip(high)) {
+        for (half, ks) in block.iter_mut().zip([low, high]) {
+            let ptr = half.as_mut_ptr().cast::<__m256i>();
+            // SAFETY: `half` is 32 bytes of writable memory, exactly one
+            // unaligned 256-bit load and store; the enclosing function is
+            // only entered after the AVX2 check in `apply_vector_runs`.
+            unsafe { _mm256_storeu_si256(ptr, _mm256_xor_si256(_mm256_loadu_si256(ptr), ks)) };
+        }
     }
-    for l in 0..LANES {
-        s[c][l] = s[c][l].wrapping_add(s[d][l]);
-    }
-    for l in 0..LANES {
-        s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(7);
-    }
+}
+
+/// Transposes an 8×8 matrix of 32-bit words held as eight rows: lane `l`
+/// of output `j` is lane `j` of input `l`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose_8x8(r: [std::arch::x86_64::__m256i; 8]) -> [std::arch::x86_64::__m256i; 8] {
+    use std::arch::x86_64::*;
+
+    // Interleave row pairs, then row quads, per 128-bit half ...
+    let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+    let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+    let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+    let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+    let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+    let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+    let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+    let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+    // `u0` holds rows 0..4 of lane 0 (low half) and lane 4 (high half),
+    // `u1` lanes 1 and 5, and so on; `u4..u8` the same for rows 4..8.
+    let u0 = _mm256_unpacklo_epi64(t0, t2);
+    let u1 = _mm256_unpackhi_epi64(t0, t2);
+    let u2 = _mm256_unpacklo_epi64(t1, t3);
+    let u3 = _mm256_unpackhi_epi64(t1, t3);
+    let u4 = _mm256_unpacklo_epi64(t4, t6);
+    let u5 = _mm256_unpackhi_epi64(t4, t6);
+    let u6 = _mm256_unpacklo_epi64(t5, t7);
+    let u7 = _mm256_unpackhi_epi64(t5, t7);
+    // ... then join the matching 128-bit halves.
+    [
+        _mm256_permute2x128_si256::<0x20>(u0, u4),
+        _mm256_permute2x128_si256::<0x20>(u1, u5),
+        _mm256_permute2x128_si256::<0x20>(u2, u6),
+        _mm256_permute2x128_si256::<0x20>(u3, u7),
+        _mm256_permute2x128_si256::<0x31>(u0, u4),
+        _mm256_permute2x128_si256::<0x31>(u1, u5),
+        _mm256_permute2x128_si256::<0x31>(u2, u6),
+        _mm256_permute2x128_si256::<0x31>(u3, u7),
+    ]
 }
 
 #[cfg(test)]
@@ -439,45 +461,111 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wide_keystream_matches_per_block_path() {
-        // Any length that crosses the 4-block wide path must agree byte
-        // for byte with the scalar block function.
-        let reference = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 7);
-        for len in [193usize, 256, 257, 300, 512, 1000, 1024, 64 * 20 + 5] {
-            let mut data = vec![0u8; len];
-            let mut stream = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 7);
-            stream.apply_keystream(&mut data);
-            for (i, chunk) in data.chunks(BLOCK_LEN).enumerate() {
-                let block = reference.keystream_block(7 + i as u32);
-                assert_eq!(chunk, &block[..chunk.len()], "len {len}, block {i}");
+    /// XORs the keystream into `data` one scalar block at a time — the
+    /// reference every other path must match byte for byte.
+    fn scalar_reference(stream: &ChaCha20, data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(BLOCK_LEN).enumerate() {
+            let block = stream.keystream_block(stream.counter().wrapping_add(i as u32));
+            for (byte, k) in chunk.iter_mut().zip(block.iter()) {
+                *byte ^= k;
             }
-            assert_eq!(stream.counter(), 7 + len.div_ceil(BLOCK_LEN) as u32);
+        }
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    /// Applies the dispatched path from `counter` and checks it against the
+    /// scalar reference, including the counter it leaves behind.
+    fn assert_matches_reference(counter: u32, len: usize) {
+        let start = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), counter);
+        let mut expected = pattern(len);
+        scalar_reference(&start, &mut expected);
+        let mut stream = start.clone();
+        let mut data = pattern(len);
+        stream.apply_keystream(&mut data);
+        assert!(data == expected, "counter {counter}, len {len}");
+        assert_eq!(
+            stream.counter(),
+            counter.wrapping_add(len.div_ceil(BLOCK_LEN) as u32),
+            "counter {counter}, len {len}"
+        );
+    }
+
+    #[test]
+    fn dispatched_path_matches_scalar_reference_for_every_length() {
+        for counter in [0u32, 7] {
+            for len in 0..=2100 {
+                assert_matches_reference(counter, len);
+            }
         }
     }
 
     #[test]
-    fn apply_keystream_into_fuses_copy_and_xor() {
-        let src: Vec<u8> = (0..777).map(|i| (i * 31 % 256) as u8).collect();
-        for counter in [0u32, 9] {
-            let mut fused = vec![0u8; src.len()];
-            let mut stream = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), counter);
-            stream.apply_keystream_into(&src, &mut fused);
-
-            let mut copied = src.clone();
-            let mut reference = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), counter);
-            reference.apply_keystream(&mut copied);
-            assert_eq!(fused, copied);
-            assert_eq!(stream.counter(), reference.counter());
+    fn dispatched_path_matches_scalar_reference_up_to_the_counter_wrap() {
+        // The budget fits exactly: the last block uses counter 2^32 - 1 and
+        // the stream position wraps to 0, lane by lane as in the scalar path.
+        for len in [512usize, 1024, 1041, 2100, 4096] {
+            let blocks = len.div_ceil(BLOCK_LEN) as u64;
+            let counter = u32::try_from((1u64 << 32) - blocks).expect("fits u32");
+            assert_matches_reference(counter, len);
         }
     }
 
+    /// Keystream for key 00..1f, nonce 000000090000004a00000000, counter 1
+    /// (the RFC 8439 §2.3.2 stream), 1 041 bytes: one encoded 1 KiB slot.
+    /// Generated with OpenSSL 3.5 by encrypting zeros:
+    /// `openssl enc -chacha20 -K 0001..1f -iv 01000000000000090000004a00000000`.
+    const OPENSSL_RFC_COUNTER1_1041: &[u8] =
+        include_bytes!("../testdata/chacha20_rfc_counter1_1041.bin");
+
+    /// Keystream for key 80..9f, nonce 000102030405060708090a0b, counter 0,
+    /// 4 096 bytes (eight whole vector runs). Generated with OpenSSL 3.5:
+    /// `openssl enc -chacha20 -K 8081..9f -iv 00000000000102030405060708090a0b`.
+    const OPENSSL_KEY80_COUNTER0_4096: &[u8] =
+        include_bytes!("../testdata/chacha20_key80_counter0_4096.bin");
+
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn apply_keystream_into_checks_lengths() {
-        let mut stream = ChaCha20::new(&rfc_key(), &rfc_nonce());
-        let mut dst = [0u8; 3];
-        stream.apply_keystream_into(&[0u8; 4], &mut dst);
+    fn openssl_vector_1041_bytes() {
+        let mut data = vec![0u8; 1041];
+        ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 1).apply_keystream(&mut data);
+        assert!(data == OPENSSL_RFC_COUNTER1_1041);
+    }
+
+    #[test]
+    fn openssl_vector_4096_bytes() {
+        let mut key = [0u8; KEY_LEN];
+        for (i, b) in key.iter_mut().enumerate() {
+            *b = 0x80 + i as u8;
+        }
+        let nonce: [u8; NONCE_LEN] = std::array::from_fn(|i| i as u8);
+        let mut data = vec![0u8; 4096];
+        ChaCha20::new(&key, &nonce).apply_keystream(&mut data);
+        assert!(data == OPENSSL_KEY80_COUNTER0_4096);
+    }
+
+    #[test]
+    fn avx2_cpus_take_the_vector_kernel() {
+        // A CPU that reports AVX2 must cover every whole 512-byte run with
+        // the kernel; only the 17-byte tail of a 1 041-byte slot is left
+        // to the scalar path. Elsewhere nothing is covered.
+        #[cfg(target_arch = "x86_64")]
+        let expected = if is_x86_feature_detected!("avx2") {
+            1024
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = 0;
+
+        let start = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 1);
+        let mut stream = start.clone();
+        let mut data = vec![0u8; 1041];
+        assert_eq!(stream.apply_vector_runs(&mut data), expected);
+        assert_eq!(stream.counter(), 1 + (expected / BLOCK_LEN) as u32);
+        assert!(data[..expected] == OPENSSL_RFC_COUNTER1_1041[..expected]);
+        assert!(data[expected..].iter().all(|&b| b == 0), "tail left alone");
     }
 
     #[test]
@@ -550,9 +638,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "counter overflow")]
-    fn wide_path_respects_counter_budget() {
-        let mut stream = ChaCha20::with_counter(&[0u8; KEY_LEN], &[0u8; NONCE_LEN], u32::MAX - 2);
-        let mut data = [0u8; WIDE_LEN]; // needs 4 blocks, only 3 remain
+    fn vector_path_respects_counter_budget() {
+        let mut stream = ChaCha20::with_counter(&[0u8; KEY_LEN], &[0u8; NONCE_LEN], u32::MAX - 6);
+        let mut data = [0u8; 512]; // needs 8 blocks, only 7 remain
         stream.apply_keystream(&mut data);
     }
 }

@@ -42,6 +42,8 @@
 //! # }
 //! ```
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod chacha;
 pub mod keys;

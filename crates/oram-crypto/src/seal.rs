@@ -168,24 +168,14 @@ impl BlockSealer {
     /// the ORAM reshuffle discipline guarantees this by bumping the epoch
     /// whenever blocks are rewritten.
     pub fn seal(&self, block_id: u64, epoch: u64, plaintext: &[u8]) -> SealedBlock {
-        // Fused copy+XOR: the ciphertext buffer is filled in one pass over
-        // the plaintext instead of copy-then-encrypt-in-place.
-        let mut body = vec![0u8; plaintext.len()];
-        ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
-            .apply_keystream_into(plaintext, &mut body);
-        let tag = self.compute_tag(block_id, epoch, &body);
-        SealedBlock {
-            block_id,
-            epoch,
-            body,
-            tag,
-        }
+        self.seal_into(block_id, epoch, plaintext.to_vec())
     }
 
     /// Seals a caller-provided plaintext buffer, encrypting it **in place**
-    /// — the buffer becomes the ciphertext body without a copy. This is the
-    /// zero-copy core of [`seal`](Self::seal); the shuffle stream feeds it
-    /// buffers recycled through a [`crate::pool::BufferPool`].
+    /// — the buffer becomes the ciphertext body without a copy.
+    /// [`seal`](Self::seal) is a copy of the plaintext followed by this;
+    /// the shuffle stream feeds it buffers recycled through a
+    /// [`crate::pool::BufferPool`].
     pub fn seal_into(&self, block_id: u64, epoch: u64, mut body: Vec<u8>) -> SealedBlock {
         ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
             .apply_keystream(&mut body);

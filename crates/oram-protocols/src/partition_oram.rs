@@ -161,7 +161,7 @@ impl PartitionOram {
         let seq = self.seal_seq;
         self.seal_seq += 1;
         self.sealer
-            .seal(slot, seq, &content.encode(self.payload_len))
+            .seal_into(slot, seq, content.encode(self.payload_len))
     }
 
     /// Round-robin initial distribution, then per-partition permutation and

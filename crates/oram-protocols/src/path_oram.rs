@@ -364,16 +364,18 @@ impl<B: TreeBackend> PathOramCore<B> {
         let seq = self.seal_seq;
         self.seal_seq += 1;
         self.sealer
-            .seal(slot_addr, seq, &content.encode(self.payload_len))
+            .seal_into(slot_addr, seq, content.encode(self.payload_len))
     }
 
+    /// Opens a slot the caller owns: decrypts its buffer in place and
+    /// reuses it as the payload, so a real slot costs no allocation.
     fn open_content(
         &self,
         slot_addr: u64,
-        sealed: &oram_crypto::seal::SealedBlock,
+        sealed: oram_crypto::seal::SealedBlock,
     ) -> Result<BlockContent, OramError> {
-        let bytes = self.sealer.open(sealed)?;
-        BlockContent::decode(&bytes, slot_addr)
+        let bytes = self.sealer.open_in_place(sealed)?;
+        BlockContent::decode_owned(bytes, slot_addr)
     }
 
     /// The tree geometry.
@@ -472,7 +474,7 @@ impl<B: TreeBackend> PathOramCore<B> {
             for slot in 0..self.geometry.z() {
                 let addr = self.geometry.slot_addr(node, slot);
                 let sealed = self.backend.read_slot(addr)?;
-                match self.open_content(addr, &sealed)? {
+                match self.open_content(addr, sealed)? {
                     BlockContent::Dummy => {}
                     BlockContent::Real {
                         id,
@@ -503,13 +505,14 @@ impl<B: TreeBackend> PathOramCore<B> {
             let selected = self.stash.take_matching(geometry.z() as usize, |entry| {
                 geometry.node_on_path(node, entry.leaf)
             });
+            let mut selected = selected.into_iter();
             for slot in 0..geometry.z() {
                 let addr = geometry.slot_addr(node, slot);
-                let content = match selected.get(slot as usize) {
+                let content = match selected.next() {
                     Some(entry) => BlockContent::Real {
                         id: entry.id,
                         leaf: entry.leaf,
-                        payload: entry.payload.clone(),
+                        payload: entry.payload,
                     },
                     None => BlockContent::Dummy,
                 };
@@ -787,7 +790,7 @@ impl<B: TreeBackend> PathOramCore<B> {
         for (addr, slot) in slots.into_iter().enumerate() {
             let Some(sealed) = slot else { continue };
             if let BlockContent::Real { id, payload, .. } =
-                self.open_content(addr as u64, &sealed)?
+                self.open_content(addr as u64, sealed)?
             {
                 blocks.push((id, payload));
             }
@@ -846,29 +849,25 @@ impl<B: TreeBackend> PathOramCore<B> {
             let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
             self.position_map.set(id, leaf);
             // Deepest-first greedy placement.
-            let mut placed = false;
-            for node in self.geometry.path_nodes(leaf).into_iter().rev() {
-                if staged[node as usize].len() < z {
-                    staged[node as usize].push((id, leaf, payload.clone()));
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                self.stash.insert(StashEntry { id, leaf, payload })?;
+            let deepest_free = self
+                .geometry
+                .path_nodes(leaf)
+                .into_iter()
+                .rev()
+                .find(|&node| staged[node as usize].len() < z);
+            match deepest_free {
+                Some(node) => staged[node as usize].push((id, leaf, payload)),
+                None => self.stash.insert(StashEntry { id, leaf, payload })?,
             }
         }
 
         let mut image = Vec::with_capacity(self.geometry.total_slots() as usize);
         for (node, bucket) in staged.into_iter().enumerate() {
+            let mut bucket = bucket.into_iter();
             for slot in 0..z {
                 let addr = self.geometry.slot_addr(node as u64, slot as u32);
-                let content = match bucket.get(slot) {
-                    Some((id, leaf, payload)) => BlockContent::Real {
-                        id: *id,
-                        leaf: *leaf,
-                        payload: payload.clone(),
-                    },
+                let content = match bucket.next() {
+                    Some((id, leaf, payload)) => BlockContent::Real { id, leaf, payload },
                     None => BlockContent::Dummy,
                 };
                 image.push(self.seal_content(addr, &content));

@@ -138,7 +138,7 @@ impl SquareRootOram {
         let seq = self.seal_seq;
         self.seal_seq += 1;
         self.sealer
-            .seal(slot, seq, &content.encode(self.payload_len))
+            .seal_into(slot, seq, content.encode(self.payload_len))
     }
 
     /// Writes the full permuted layout, folding in `overrides` (id →
